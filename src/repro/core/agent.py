@@ -388,7 +388,8 @@ class Agent:
             image = pipeline.pack(standalone, sock_records, sock_fd_rows, devices,
                                   state=self.pipeline_state,
                                   serialize_bandwidth=self.node.spec.memcpy_bandwidth,
-                                  chain_local=chain_local, proc_dirty=proc_dirty)
+                                  chain_local=chain_local, proc_dirty=proc_dirty,
+                                  net_bytes=net_bytes)
             t_enc = engine.now
             yield engine.sleep(_stage_seconds(image))
             self._emit_stage_spans(image, t_enc, pod_id, phase)
@@ -428,7 +429,8 @@ class Agent:
                 image = pipeline.pack(standalone, sock_records, sock_fd_rows, devices,
                                       state=self.pipeline_state,
                                       serialize_bandwidth=self.node.spec.memcpy_bandwidth,
-                                      chain_local=chain_local, proc_dirty=proc_dirty)
+                                      chain_local=chain_local, proc_dirty=proc_dirty,
+                                      net_bytes=net_bytes)
                 t_enc = engine.now
                 yield engine.sleep(self.node.spec.ckpt_fixed_s + _stage_seconds(image))
                 self._emit_stage_spans(image, t_enc + self.node.spec.ckpt_fixed_s,
@@ -538,7 +540,8 @@ class Agent:
             # the image must reflect the stripped queues (re-pack, not
             # re-charged: the bytes were already serialized once; the
             # pipeline diffs against the *previous* epoch because the
-            # first pack's base is only staged, not committed)
+            # first pack's base is only staged, not committed; the
+            # socket state is re-sized since its send queues changed)
             repacked = pipeline.pack(standalone, sock_records, sock_fd_rows, devices,
                                      state=self.pipeline_state, chain_local=chain_local,
                                      proc_dirty=proc_dirty)
@@ -566,7 +569,8 @@ class Agent:
             image = pipeline.pack(standalone, sock_records, sock_fd_rows,
                                   devices, state=self.pipeline_state,
                                   serialize_bandwidth=self.node.spec.memcpy_bandwidth,
-                                  chain_local=chain_local, proc_dirty=proc_dirty)
+                                  chain_local=chain_local, proc_dirty=proc_dirty,
+                                  net_bytes=net_bytes)
             # the deferred slice of the fixed kernel work (descriptor
             # walks, serialization prep) runs here, against the frozen
             # tables, before the codec touches any bytes

@@ -123,25 +123,45 @@ def build_payload(
     }
 
 
+def pod_netstate_bytes(
+    socket_records: List[Dict[str, Any]],
+    devices: Optional[Dict[str, Any]],
+    net_bytes: Optional[int] = None,
+) -> int:
+    """Network plus bypass-device state bytes of one pod image.
+
+    ``net_bytes`` is :func:`netstate_nbytes` of ``socket_records`` when
+    the caller already sized them (the Agent does, for its cost model).
+    """
+    from .devckpt import device_state_nbytes
+
+    if net_bytes is None:
+        net_bytes = netstate_nbytes(socket_records)
+    states = devices["states"] if devices else []
+    return net_bytes + device_state_nbytes(states)
+
+
 def pack_pod_image(
     standalone: Dict[str, Any],
     socket_records: List[Dict[str, Any]],
     socket_fd_rows: List[Dict[str, Any]],
     devices: Dict[str, Any] = None,
+    net_bytes: Optional[int] = None,
 ) -> PodImage:
-    """Assemble and encode an *unfiltered* (v1) pod checkpoint image."""
+    """Assemble and encode an *unfiltered* (v1) pod checkpoint image.
+
+    ``net_bytes``: the socket records' :func:`netstate_nbytes`, when the
+    caller already computed it.
+    """
     devices = devices or {"states": [], "fd_rows": []}
     payload = build_payload(standalone, socket_records, socket_fd_rows, devices)
     data = codec.encode(payload)
-    from .devckpt import device_state_nbytes
-
     return PodImage(
         pod_id=standalone["pod_id"],
         data=data,
         encoded_bytes=len(data),
         accounted_bytes=accounted_memory_bytes(standalone),
-        netstate_bytes=netstate_nbytes(socket_records)
-        + device_state_nbytes(devices["states"]),
+        netstate_bytes=pod_netstate_bytes(socket_records, devices, net_bytes),
     )
 
 

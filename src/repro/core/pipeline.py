@@ -43,6 +43,7 @@ from .image import (
     PodImage,
     build_payload,
     pack_pod_image,
+    pod_netstate_bytes,
 )
 from .standalone import accounted_memory_bytes, proc_memory_tables
 
@@ -534,16 +535,20 @@ class ImagePipeline:
         serialize_bandwidth: Optional[float] = None,
         chain_local: bool = True,
         proc_dirty: Optional[Dict[int, Dict[str, int]]] = None,
+        net_bytes: Optional[int] = None,
     ) -> PodImage:
         """Assemble, filter and cost-account one pod checkpoint image.
 
         When a chain filter (delta) is present, the new base is *staged*
         in ``state`` — call ``state.commit(pod_id)`` once the image is
         final (Agents re-pack after the send-queue redirect).
+        ``net_bytes`` is the socket records' already-computed
+        :func:`~repro.core.netckpt.netstate_nbytes`, if any.
         """
         pod_id = standalone["pod_id"]
         if not self.filters:
-            image = pack_pod_image(standalone, socket_records, socket_fd_rows, devices)
+            image = pack_pod_image(standalone, socket_records, socket_fd_rows, devices,
+                                   net_bytes)
             if state is not None:
                 state.stage_base(pod_id, image.data, proc_memory_tables(standalone))
             self._attach_serialize_cost(image, serialize_bandwidth)
@@ -593,7 +598,7 @@ class ImagePipeline:
             data=envelope,
             encoded_bytes=len(envelope),
             accounted_bytes=accounted,
-            netstate_bytes=_netstate_bytes(socket_records, devices),
+            netstate_bytes=pod_netstate_bytes(socket_records, devices, net_bytes),
             filters=applied,
             epoch=epoch,
             raw_encoded_bytes=len(raw),
@@ -656,15 +661,6 @@ class ImagePipeline:
         return ReassembledImage(payload=payload, raw=raw,
                                 full_total_bytes=full_total,
                                 decode_seconds=decode_seconds, stage_costs=costs)
-
-
-def _netstate_bytes(socket_records: List[Dict[str, Any]],
-                    devices: Optional[Dict[str, Any]]) -> int:
-    from .devckpt import device_state_nbytes
-    from .netckpt import netstate_nbytes
-
-    devices = devices or {"states": [], "fd_rows": []}
-    return netstate_nbytes(socket_records) + device_state_nbytes(devices["states"])
 
 
 def image_extends_chain(image: PodImage) -> bool:

@@ -70,13 +70,35 @@ newest-wins rule into :class:`LedgerCampaign`:
 
 Campaign terminal phases are ``commit`` (all waves done), ``halted``
 (failure threshold tripped), and ``aborted``.
+
+Reads are incremental.  Each :class:`OpLedger` keeps the folded state
+of every *complete* line it has parsed, the byte offset just past the
+last ``\n`` it folded, and a short guard copy of the bytes before that
+offset.  Every read revalidates against the file first: if the file is
+gone, its ``bytearray`` was replaced, its length shrank below the
+offset, or the guard bytes differ, the fold is rebuilt from a full
+:meth:`OpLedger.records` scan; otherwise only the bytes appended since
+the last read are parsed — which is how a peer Manager's appends to the
+shared SAN file show up on this instance's next read.  An unterminated
+tail is folded onto a throwaway view at read time and never committed,
+so a complete-but-unterminated last line counts exactly as it does in a
+full scan, and a torn line that later gets bytes appended to it becomes
+one skipped joined line.  Op and campaign ids are allocated from the
+same revalidated fold, so a Manager never reuses an id a peer has
+already *appended* (allocation is not a reservation: two Managers that
+both allocate before either appends still pick the same id).
+
+State a read returns is a snapshot: later records never change an
+object already handed out, because the fold copies an op or campaign
+before changing it (copy-on-write, one entry at a time).  Returned
+objects are shared with the cache, so callers must not mutate them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..vos.filesystem import FileSystem, ensure_dirs
 
@@ -88,6 +110,11 @@ TERMINAL_PHASES = ("commit", "aborted")
 
 #: phases after which a campaign needs no further work from anyone.
 CAMPAIGN_TERMINAL_PHASES = ("commit", "halted", "aborted")
+
+
+#: bytes before the folded offset a read compares against the file to
+#: tell an append (guard intact) from a rewrite (fold rebuilt).
+GUARD_BYTES = 64
 
 
 @dataclass
@@ -110,6 +137,33 @@ class LedgerOp:
     @property
     def terminal(self) -> bool:
         return self.phase in TERMINAL_PHASES
+
+    def copy(self) -> "LedgerOp":
+        """A copy :meth:`apply` can change without touching this one."""
+        return replace(self, fields=dict(self.fields), claims=list(self.claims))
+
+    def apply(self, rec: Dict[str, Any]) -> None:
+        """Fold one op-family record into this state (newest wins)."""
+        kind = rec.get("rec", "phase")
+        self.t_last = float(rec.get("t", self.t_last))
+        if kind == "claim":
+            self.owner = rec.get("owner")
+            self.lease_until = float(rec.get("lease", 0.0))
+            self.claims.append(rec.get("owner"))
+            return
+        if kind == "op":
+            self.kind = rec.get("kind", self.kind)
+            self.context = rec.get("context", self.context)
+            self.targets = [tuple(t) for t in rec.get("targets", [])]
+        if rec.get("owner") is not None:
+            self.owner = rec["owner"]
+        if rec.get("lease") is not None:
+            self.lease_until = float(rec["lease"])
+        self.phase = rec.get("phase", self.phase)
+        for key, value in rec.items():
+            if key not in ("rec", "op", "phase", "owner", "lease", "t",
+                           "kind", "context", "targets"):
+                self.fields[key] = value
 
 
 @dataclass
@@ -152,6 +206,69 @@ class LedgerCampaign:
         return sorted(p for p, rec in self.pods.items()
                       if rec.get("status") == "ok")
 
+    def copy(self) -> "LedgerCampaign":
+        """A copy :meth:`apply` can change without touching this one
+        (``units``, ``waves`` and ``policy`` are only ever replaced)."""
+        return replace(self, pods=dict(self.pods),
+                       wave_owners=dict(self.wave_owners),
+                       wave_claims=list(self.wave_claims),
+                       waves_done=list(self.waves_done),
+                       claims=list(self.claims))
+
+    def apply(self, rec: Dict[str, Any]) -> None:
+        """Fold one campaign-family record into this state."""
+        kind = rec.get("rec", "campaign")
+        self.t_last = float(rec.get("t", self.t_last))
+        if kind == "campaign-claim":
+            self.owner = rec.get("owner")
+            self.lease_until = float(rec.get("lease", 0.0))
+            self.claims.append(rec.get("owner"))
+            return
+        phase = rec.get("phase", self.phase)
+        if phase == "begin":
+            self.kind = rec.get("kind", self.kind)
+            self.units = [tuple(u) for u in rec.get("units", [])]
+            self.waves = [list(w) for w in rec.get("waves", [])]
+            self.policy = dict(rec.get("policy", {}))
+        elif phase == "wave":
+            wave = int(rec.get("wave", -1))
+            owner = rec.get("owner")
+            self.wave_claims.append((wave, owner))
+            if wave in self.wave_owners:
+                # duplicate wave claim: first writer wins, the
+                # duplicate stays on the audit trail only
+                return
+            self.wave_owners[wave] = owner
+        elif phase == "pod":
+            self.pods[rec.get("pod")] = {
+                k: v for k, v in rec.items()
+                if k in ("status", "op", "wave", "downtime", "attempts",
+                         "adopted", "t")}
+        elif phase == "wave-done":
+            wave = int(rec.get("wave", -1))
+            if wave not in self.waves_done:
+                self.waves_done.append(wave)
+        if rec.get("owner") is not None:
+            self.owner = rec["owner"]
+        if rec.get("lease") is not None:
+            self.lease_until = float(rec["lease"])
+        self.phase = phase
+
+
+def _entry(table: Dict[int, Any], key: int, make: Callable[[int], Any],
+           owned: Optional[Set[int]]) -> Any:
+    """``table[key]``, safe to change in place: created when missing.
+    With ``owned`` (the keys this fold pass created or copied), an entry
+    a caller may already hold is replaced by a copy first."""
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = make(key)
+    elif owned is not None and key not in owned:
+        entry = table[key] = entry.copy()
+    if owned is not None:
+        owned.add(key)
+    return entry
+
 
 def fold_ops(records: List[Dict[str, Any]]) -> Dict[int, LedgerOp]:
     """Fold raw op records into per-op state (newest wins).
@@ -162,32 +279,8 @@ def fold_ops(records: List[Dict[str, Any]]) -> Dict[int, LedgerOp]:
     """
     ops: Dict[int, LedgerOp] = {}
     for rec in records:
-        if "cid" in rec:
-            continue  # campaign records fold via fold_campaigns()
-        op_id = int(rec["op"])
-        op = ops.get(op_id)
-        if op is None:
-            op = ops[op_id] = LedgerOp(op_id=op_id)
-        kind = rec.get("rec", "phase")
-        op.t_last = float(rec.get("t", op.t_last))
-        if kind == "claim":
-            op.owner = rec.get("owner")
-            op.lease_until = float(rec.get("lease", 0.0))
-            op.claims.append(rec.get("owner"))
-            continue
-        if kind == "op":
-            op.kind = rec.get("kind", op.kind)
-            op.context = rec.get("context", op.context)
-            op.targets = [tuple(t) for t in rec.get("targets", [])]
-        if rec.get("owner") is not None:
-            op.owner = rec["owner"]
-        if rec.get("lease") is not None:
-            op.lease_until = float(rec["lease"])
-        op.phase = rec.get("phase", op.phase)
-        for key, value in rec.items():
-            if key not in ("rec", "op", "phase", "owner", "lease", "t",
-                           "kind", "context", "targets"):
-                op.fields[key] = value
+        if "cid" not in rec:  # campaign records fold via fold_campaigns()
+            _entry(ops, int(rec["op"]), LedgerOp, None).apply(rec)
     return ops
 
 
@@ -195,49 +288,55 @@ def fold_campaigns(records: List[Dict[str, Any]]) -> Dict[int, LedgerCampaign]:
     """Fold raw campaign-family records into per-campaign state."""
     campaigns: Dict[int, LedgerCampaign] = {}
     for rec in records:
-        if "cid" not in rec:
-            continue
-        cid = int(rec["cid"])
-        camp = campaigns.get(cid)
-        if camp is None:
-            camp = campaigns[cid] = LedgerCampaign(cid=cid)
-        kind = rec.get("rec", "campaign")
-        camp.t_last = float(rec.get("t", camp.t_last))
-        if kind == "campaign-claim":
-            camp.owner = rec.get("owner")
-            camp.lease_until = float(rec.get("lease", 0.0))
-            camp.claims.append(rec.get("owner"))
-            continue
-        phase = rec.get("phase", camp.phase)
-        if phase == "begin":
-            camp.kind = rec.get("kind", camp.kind)
-            camp.units = [tuple(u) for u in rec.get("units", [])]
-            camp.waves = [list(w) for w in rec.get("waves", [])]
-            camp.policy = dict(rec.get("policy", {}))
-        elif phase == "wave":
-            wave = int(rec.get("wave", -1))
-            owner = rec.get("owner")
-            camp.wave_claims.append((wave, owner))
-            if wave in camp.wave_owners:
-                # duplicate wave claim: first writer wins, the
-                # duplicate stays on the audit trail only
-                continue
-            camp.wave_owners[wave] = owner
-        elif phase == "pod":
-            camp.pods[rec.get("pod")] = {
-                k: v for k, v in rec.items()
-                if k in ("status", "op", "wave", "downtime", "attempts",
-                         "adopted", "t")}
-        elif phase == "wave-done":
-            wave = int(rec.get("wave", -1))
-            if wave not in camp.waves_done:
-                camp.waves_done.append(wave)
-        if rec.get("owner") is not None:
-            camp.owner = rec["owner"]
-        if rec.get("lease") is not None:
-            camp.lease_until = float(rec["lease"])
-        camp.phase = phase
+        if "cid" in rec:
+            _entry(campaigns, int(rec["cid"]), LedgerCampaign, None).apply(rec)
     return campaigns
+
+
+def _parse(chunk: bytes) -> Tuple[List[Dict[str, Any]], int]:
+    """``(records, lines skipped)`` of the JSONL bytes ``chunk``: a line
+    that is not JSON, or not an op/campaign object, is skipped."""
+    out: List[Dict[str, Any]] = []
+    skipped = 0
+    for raw in chunk.split(b"\n"):
+        if not raw:
+            continue
+        try:
+            rec = json.loads(raw.decode("ascii"))
+        except (ValueError, UnicodeDecodeError):
+            skipped += 1
+            continue
+        if isinstance(rec, dict) and ("op" in rec or "cid" in rec):
+            out.append(rec)
+        else:
+            skipped += 1
+    return out, skipped
+
+
+class _Fold:
+    """Folded state of a run of records: ops, campaigns, highest ids."""
+
+    def __init__(self, base: Optional["_Fold"] = None) -> None:
+        self.ops: Dict[int, LedgerOp] = dict(base.ops) if base else {}
+        self.campaigns: Dict[int, LedgerCampaign] = (
+            dict(base.campaigns) if base else {})
+        self.max_op = base.max_op if base else 0
+        self.max_cid = base.max_cid if base else 0
+
+    def add(self, records: List[Dict[str, Any]]) -> None:
+        """Fold ``records`` in; entries held from earlier passes are
+        copied before they change (copy-on-write)."""
+        owned_ops: Set[int] = set()
+        owned_cids: Set[int] = set()
+        for rec in records:
+            if "cid" in rec:
+                cid = int(rec["cid"])
+                _entry(self.campaigns, cid, LedgerCampaign, owned_cids).apply(rec)
+                self.max_cid = max(self.max_cid, cid)
+            else:
+                op_id = int(rec["op"])
+                _entry(self.ops, op_id, LedgerOp, owned_ops).apply(rec)
+                self.max_op = max(self.max_op, op_id)
 
 
 class OpLedger:
@@ -249,13 +348,18 @@ class OpLedger:
         #: scan bookkeeping: lines the last scan had to discard (the torn
         #: tail, or corruption injected by tests).
         self.skipped = 0
-        #: id-allocation caches: highest op/campaign id seen, maintained
-        #: incrementally by :meth:`append` after the first full scan, so
-        #: allocating ids is O(1) instead of re-parsing the whole log per
-        #: op (quadratic at fleet scale).  Per-instance only — a replica
-        #: builds its own OpLedger and does its own first scan.
-        self._max_op: Optional[int] = None
-        self._max_cid: Optional[int] = None
+        self._reset(None)
+
+    def _reset(self, data: Optional[bytearray]) -> None:
+        #: the file contents the fold was built from (None: no file).
+        self._data = data
+        #: byte offset just past the last folded ``\n``, and the guard
+        #: copy of the bytes before it.
+        self._offset = 0
+        self._guard = b""
+        self._fold = _Fold()
+        #: lines skipped before ``_offset``.
+        self._skipped = 0
 
     # -- raw log ---------------------------------------------------------
     def _file(self):
@@ -269,48 +373,72 @@ class OpLedger:
         """Append one record (sorted keys: deterministic bytes)."""
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._file().data += (line + "\n").encode("ascii")
-        if self._max_op is not None and "op" in record and "cid" not in record:
-            self._max_op = max(self._max_op, int(record["op"]))
-        if self._max_cid is not None and "cid" in record:
-            self._max_cid = max(self._max_cid, int(record["cid"]))
 
     def records(self) -> List[Dict[str, Any]]:
-        """Parse the log, tolerating a torn (truncated) final line."""
+        """Parse the whole log, tolerating a torn (truncated) final line.
+
+        Data ending in ``\n`` leaves a legitimate empty tail; anything
+        else is a torn append and is discarded like a torn WAL record.
+        """
         f = self.fs.files.get(self.path)
-        self.skipped = 0
         if f is None:
+            self.skipped = 0
             return []
-        out: List[Dict[str, Any]] = []
-        data = bytes(f.data)
-        lines = data.split(b"\n")
-        # data ending in "\n" leaves a legitimate empty tail; anything
-        # else is a torn append and is discarded like a torn WAL record
-        for raw in lines:
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw.decode("ascii"))
-            except (ValueError, UnicodeDecodeError):
-                self.skipped += 1
-                continue
-            if isinstance(rec, dict) and ("op" in rec or "cid" in rec):
-                out.append(rec)
-            else:
-                self.skipped += 1
+        out, self.skipped = _parse(bytes(f.data))
         return out
+
+    # -- the incremental fold ----------------------------------------------
+    def _state(self) -> _Fold:
+        """The fold of the whole file as it is now.
+
+        Parses only what was appended since the last read, unless the
+        file was deleted, replaced, shrunk or rewritten under the guard
+        (then the fold is rebuilt from :meth:`records`).  The result may
+        be the cache itself: callers copy the maps before handing them
+        out and never mutate the entries.
+        """
+        f = self.fs.files.get(self.path)
+        if f is None:
+            self._reset(None)
+            self.skipped = 0
+            return self._fold
+        data, off = f.data, self._offset
+        if (data is not self._data or len(data) < off
+                or data[off - len(self._guard):off] != self._guard):
+            recs = self.records()
+            end = data.rfind(b"\n") + 1
+            tail, tail_skipped = _parse(bytes(data[end:]))
+            self._reset(data)
+            self._skipped = self.skipped - tail_skipped
+            self._fold.add(recs[:len(recs) - len(tail)])
+        else:
+            end = data.rfind(b"\n", off) + 1
+            if end > off:
+                recs, skipped = _parse(bytes(data[off:end]))
+                self._skipped += skipped
+                self._fold.add(recs)
+        if end > self._offset:
+            self._offset = end
+            self._guard = bytes(data[max(0, end - GUARD_BYTES):end])
+        # the unterminated tail: folded onto a throwaway view, never
+        # committed (its line may still grow into a torn join)
+        tail, tail_skipped = _parse(bytes(data[self._offset:]))
+        self.skipped = self._skipped + tail_skipped
+        if not tail:
+            return self._fold
+        view = _Fold(self._fold)
+        view.add(tail)
+        return view
 
     # -- folded state ----------------------------------------------------
     def replay(self) -> Dict[int, LedgerOp]:
         """Fold the log into per-op state, in op-id order."""
-        return fold_ops(self.records())
+        return dict(self._state().ops)
 
     def next_op_id(self) -> int:
-        """Smallest op id no record has used yet."""
-        if self._max_op is None:
-            self._max_op = max(
-                (int(r["op"]) for r in self.records()
-                 if "op" in r and "cid" not in r), default=0)
-        return self._max_op + 1
+        """Smallest op id no record has used yet (a peer's appends
+        included)."""
+        return self._state().max_op + 1
 
     def orphaned(self, now: float) -> List[LedgerOp]:
         """Non-terminal ops whose lease has expired, in op-id order —
@@ -348,15 +476,12 @@ class OpLedger:
     # -- campaigns -------------------------------------------------------
     def replay_campaigns(self) -> Dict[int, LedgerCampaign]:
         """Fold the campaign record family into per-campaign state."""
-        return fold_campaigns(self.records())
+        return dict(self._state().campaigns)
 
     def next_campaign_id(self) -> int:
-        """Smallest campaign id no record has used yet."""
-        if self._max_cid is None:
-            self._max_cid = max(
-                (int(r["cid"]) for r in self.records() if "cid" in r),
-                default=0)
-        return self._max_cid + 1
+        """Smallest campaign id no record has used yet (a peer's appends
+        included)."""
+        return self._state().max_cid + 1
 
     def orphaned_campaigns(self, now: float) -> List[LedgerCampaign]:
         """Non-terminal campaigns whose lease has expired, in campaign-id

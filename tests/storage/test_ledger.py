@@ -266,8 +266,9 @@ def test_campaign_records_do_not_disturb_op_replay():
 
 
 def test_id_caches_follow_appends():
-    """next_op_id / next_campaign_id are O(1) after the first scan: the
-    caches track appends instead of re-parsing the log per allocation."""
+    """next_op_id / next_campaign_id come from the incremental fold:
+    after the first scan each allocation parses only the appended lines
+    instead of re-parsing the log (quadratic at fleet scale)."""
     led = _ledger()
     assert led.next_op_id() == 1
     assert led.next_campaign_id() == 1
@@ -279,3 +280,113 @@ def test_id_caches_follow_appends():
     other = OpLedger(led.fs)
     assert other.next_op_id() == 2
     assert other.next_campaign_id() == 2
+
+
+# ---------------------------------------------------------------------------
+# the incremental fold: peers' appends, warm reads, snapshots
+# ---------------------------------------------------------------------------
+
+def _op(led, op_id, phase, t=0.0, owner="mgr0", lease=None, rec="phase"):
+    led.append({"rec": rec, "op": op_id, "phase": phase, "kind": "checkpoint",
+                "targets": [["blade1", f"p{op_id}", ""]], "owner": owner,
+                "lease": t + 30.0 if lease is None else lease, "t": t})
+
+
+def test_op_ids_see_a_peer_managers_appends():
+    """Two Managers over one SAN file: an op id a peer has appended is
+    never handed out again (a per-instance cache used to miss it)."""
+    fs = SharedStorage()
+    a, b = OpLedger(fs), OpLedger(fs)
+    assert a.next_op_id() == 1
+    _op(b, 1, "begin", rec="op")
+    assert a.next_op_id() == 2
+    _op(a, 2, "begin", rec="op")
+    assert b.next_op_id() == 3
+
+
+def test_campaign_ids_see_a_peer_managers_appends():
+    fs = SharedStorage()
+    a, b = OpLedger(fs), OpLedger(fs)
+    assert a.next_campaign_id() == 1
+    _begin(b, cid=1)
+    assert a.next_campaign_id() == 2
+    _begin(a, cid=2)
+    assert b.next_campaign_id() == 3
+
+
+def test_warm_reads_parse_only_appended_lines(monkeypatch):
+    """Only a cold fold runs the full-log scan; a read after appends
+    (own or a peer's) folds just the new lines."""
+    fs = SharedStorage()
+    led, peer = OpLedger(fs), OpLedger(fs)
+    _op(led, 1, "begin", rec="op")
+    scans = []
+    real = OpLedger.records
+    monkeypatch.setattr(OpLedger, "records",
+                        lambda self: scans.append(1) or real(self))
+    assert led.replay()[1].phase == "begin"
+    assert len(scans) == 1                   # the cold fold
+    _op(peer, 1, "meta", t=1.0)
+    _op(led, 1, "continue", t=2.0)
+    assert led.replay()[1].phase == "continue"
+    assert led.next_op_id() == 2
+    assert len(scans) == 1                   # warm: appended lines only
+    f = fs.files[LEDGER_PATH]
+    kept = bytes(f.data)[:-5]                # a rewrite shrinks the file
+    del f.data[:]
+    f.data.extend(kept)
+    assert led.replay()[1].phase == "meta"
+    assert led.skipped == 1
+    assert len(scans) == 2                   # ... and forces a cold fold
+
+
+def test_orphaned_op_is_a_snapshot():
+    """An op taken from orphaned() keeps its phase, owner and claims
+    after it is claimed and moves on — takeover reports the phase it
+    claimed the op at from that object."""
+    led = _ledger()
+    _op(led, 1, "begin", rec="op", lease=3.0)
+    _op(led, 1, "continue", t=1.0, lease=3.0)
+    (op,) = led.orphaned(now=5.0)
+    held = led.replay()
+    assert led.claim(1, "mgr1", now=5.0, lease_s=10.0)
+    _op(led, 1, "commit", t=6.0, owner="mgr1")
+    assert (op.phase, op.owner, op.claims) == ("continue", "mgr0", [])
+    assert held[1].phase == "continue"
+    now = led.replay()[1]
+    assert (now.phase, now.owner, now.claims) == ("commit", "mgr1", ["mgr1"])
+
+
+def test_replayed_campaign_is_a_snapshot():
+    led = _ledger()
+    _begin(led)
+    _camp(led, "wave", t=1.0, wave=0, pods=1)
+    before = led.replay_campaigns()
+    camp = before[1]
+    _camp(led, "pod", t=2.0, wave=0, pod="p0", status="ok", op=7,
+          downtime=0.25, attempts=1)
+    _camp(led, "wave-done", t=3.0, wave=0, ok=1, failed=0)
+    assert led.claim_campaign(1, "mgr1", now=100.0, lease_s=5.0)
+    assert camp.phase == "wave" and camp.pods == {} and camp.waves_done == []
+    assert camp.claims == [] and camp.owner == "mgr0"
+    assert set(before) == {1}
+    after = led.replay_campaigns()[1]
+    assert after.done_pods == ["p0"] and after.claims == ["mgr1"]
+
+
+def test_unterminated_tail_is_read_but_never_committed():
+    """A complete line that lost only its newline still counts; once a
+    later append joins onto it, the joined line is one skipped line —
+    exactly what a full scan of the file says at each step."""
+    fs = SharedStorage()
+    led = OpLedger(fs)
+    _op(led, 1, "begin", rec="op")
+    f = fs.files[LEDGER_PATH]
+    del f.data[-1:]                          # drop only the "\n"
+    assert led.replay()[1].phase == "begin"
+    assert led.next_op_id() == 2 and led.skipped == 0
+    _op(led, 2, "begin", rec="op")           # joins onto the tail
+    assert led.replay() == {} and led.skipped == 1
+    assert led.next_op_id() == 1
+    fresh = OpLedger(fs)
+    assert fresh.replay() == {} and fresh.skipped == 1
